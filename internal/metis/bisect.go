@@ -3,6 +3,8 @@ package metis
 import (
 	"runtime"
 	"sync"
+
+	"sfccube/internal/par"
 )
 
 // bisect computes a 2-way split of g with target weight tw0 for side 0,
@@ -223,7 +225,7 @@ func maxRBWorkers() int {
 func runRB(g *wgraph, verts []int32, firstPart, nparts int, assign []int32, seed uint64, opt Options, stop *stopper) {
 	c := &rbCtx{assign: assign, opt: opt, sem: make(chan struct{}, maxRBWorkers()), stop: stop}
 	ws := getWS()
-	c.recurse(g, verts, firstPart, nparts, splitmix64(seed), ws)
+	c.recurse(g, verts, firstPart, nparts, par.SplitMix64(seed), ws)
 	putWS(ws)
 	c.wg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sfccube/internal/graph"
+	"sfccube/internal/par"
 	"sfccube/internal/partition"
 )
 
@@ -67,7 +68,7 @@ func PartitionCtx(ctx context.Context, gr *graph.Graph, nparts int, opt Options)
 		}
 		runRB(wg, verts, 0, nparts, assign, uint64(opt.Seed), opt, stop)
 	case KWay, KWayVol:
-		rng := newPRNG(splitmix64(uint64(opt.Seed)))
+		rng := newPRNG(par.SplitMix64(uint64(opt.Seed)))
 		assign = kwayPartition(wg, nparts, rng, opt, stop)
 	default:
 		return nil, fmt.Errorf("metis: unknown method %d", opt.Method)

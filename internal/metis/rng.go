@@ -1,5 +1,7 @@
 package metis
 
+import "sfccube/internal/par"
+
 // prng is the partitioner's deterministic pseudo-random generator: a
 // splitmix64 stream. It replaces math/rand because the recursive-bisection
 // tree creates one generator per subtree — O(nparts) of them per partition —
@@ -15,13 +17,12 @@ type prng struct{ s uint64 }
 
 func newPRNG(seed uint64) *prng { return &prng{s: seed} }
 
-// next returns the next 64 random bits (splitmix64 step).
+// next returns the next 64 random bits: the SplitMix64 step on the state,
+// which then advances by the same golden-ratio increment the step adds.
 func (r *prng) next() uint64 {
+	z := par.SplitMix64(r.s)
 	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // Intn returns a value in [0, n) for 0 < n <= 1<<31, using Lemire's

@@ -1,5 +1,6 @@
-// Package par provides the small deterministic fan-out helpers the
-// million-element partitioning paths share. Both helpers only ever run
+// Package par provides the small deterministic helpers the partitioning and
+// resilience paths share: fan-out over index ranges, and the SplitMix64 mix
+// behind every seeded random stream. Both helpers only ever run
 // callbacks over disjoint index ranges, so callers that write disjoint
 // outputs are race-free by construction, and — as long as the *content*
 // written for an index does not depend on which goroutine computes it —
@@ -87,4 +88,18 @@ func ForBlocks(nblocks int, fn func(b int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// SplitMix64 is the SplitMix64 step (Steele, Lea & Flood 2014): it adds the
+// golden-ratio increment 0x9e3779b97f4a7c15 to x and returns the mixed
+// result. Iterating it over a state that advances by the same increment
+// yields the SplitMix64 stream; one call on a seed derives an independent
+// seed. Every seeded stream in the repository (metis subtrees, fault and
+// chaos plans, retry jitter) goes through it, so each is a pure function of
+// its seed.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

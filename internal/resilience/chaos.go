@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"sfccube/internal/par"
 )
 
 // ChaosKind enumerates the service-level injectable fault classes — the
@@ -113,9 +115,9 @@ func (p *ChaosPlan) DecideAt(n uint64) (ChaosSpec, bool) {
 	if p == nil {
 		return ChaosSpec{}, false
 	}
-	base := splitmix64(p.seed ^ splitmix64(n+1))
+	base := par.SplitMix64(p.seed ^ par.SplitMix64(n+1))
 	for i, sp := range p.specs {
-		u := float64(splitmix64(base+uint64(i))>>11) / (1 << 53)
+		u := float64(par.SplitMix64(base+uint64(i))>>11) / (1 << 53)
 		if u < sp.Rate {
 			return sp, true
 		}

@@ -11,6 +11,7 @@ import (
 	"sfccube/internal/graph"
 	"sfccube/internal/mesh"
 	"sfccube/internal/metis"
+	"sfccube/internal/par"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 	"sfccube/internal/weights"
@@ -284,7 +285,7 @@ func PartitionWithFallback(ctx context.Context, spec FallbackSpec) (*FallbackRes
 					// Reseeded retry with jittered backoff: a fresh RNG stream,
 					// and a decorrelated breather so a transiently loaded
 					// machine is not hammered by lockstepped retries.
-					s = int64(splitmix64(uint64(s)) | 1)
+					s = int64(par.SplitMix64(uint64(s)) | 1)
 					if !sleepBetweenRetries(ctx, backoff.Next()) {
 						break
 					}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"sfccube/internal/par"
 )
 
 // FaultKind enumerates the injectable fault classes.
@@ -70,15 +72,6 @@ func (d RankDeath) String() string {
 	return fmt.Sprintf("injected death of rank %d at step %d", d.Rank, d.Step)
 }
 
-// splitmix64 is the canonical 64-bit mix (Steele et al.); one step of it per
-// draw makes every derived fault parameter a pure function of the seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Injector holds a seeded fault plan. All unspecified fault parameters
 // (target ranks, corrupted bit positions, stall lengths) are derived from
 // the single seed, so two runs built from the same (seed, plan) observe
@@ -127,7 +120,7 @@ func (in *Injector) arm(nranks int) {
 	s := in.Seed
 	for i := range in.faults {
 		f := &in.faults[i]
-		s = splitmix64(s)
+		s = par.SplitMix64(s)
 		switch f.Kind {
 		case FaultNaN, FaultRankDeath, FaultStall:
 			if f.Rank < 0 {
@@ -188,7 +181,7 @@ func (in *Injector) firedAt(kind FaultKind, step int) *Fault {
 // derivedBit returns a deterministic bit position for checkpoint corruption,
 // keyed on the fault's step so distinct corruption faults flip distinct bits.
 func (in *Injector) derivedBit(step int) int {
-	return int(splitmix64(in.Seed^uint64(step)) % (1 << 20))
+	return int(par.SplitMix64(in.Seed^uint64(step)) % (1 << 20))
 }
 
 // ParseFaults parses the cmd/seamsim -inject specification: a comma-

@@ -14,20 +14,13 @@ import (
 // drift is the standard stability diagnostic for vector-invariant cores.
 func (sw *ShallowWater) TotalEnergy() float64 {
 	g := sw.G
-	np := g.Np
 	var sum float64
-	for e := 0; e < g.NumElems(); e++ {
-		for b := 0; b < np; b++ {
-			for a := 0; a < np; a++ {
-				i := b*np + a
-				v1, v2 := sw.V1[e][i], sw.V2[e][i]
-				u1 := g.GI11[e][i]*v1 + g.GI12[e][i]*v2
-				u2 := g.GI12[e][i]*v1 + g.GI22[e][i]*v2
-				ke := 0.5 * (u1*v1 + u2*v2)
-				phi := sw.Phi[e][i]
-				sum += (phi*ke + 0.5*phi*phi) * g.MassWeight(e, a, b)
-			}
-		}
+	for i, phi := range sw.phiF {
+		v1, v2 := sw.v1F[i], sw.v2F[i]
+		u1 := g.GI11F[i]*v1 + g.GI12F[i]*v2
+		u2 := g.GI12F[i]*v1 + g.GI22F[i]*v2
+		ke := 0.5 * (u1*v1 + u2*v2)
+		sum += (phi*ke + 0.5*phi*phi) * g.MassF[i]
 	}
 	return sum
 }
@@ -36,22 +29,19 @@ func (sw *ShallowWater) TotalEnergy() float64 {
 // second conserved quadratic invariant of the shallow-water system.
 func (sw *ShallowWater) PotentialEnstrophy() float64 {
 	g := sw.G
-	np := g.Np
-	npts := np * np
+	npts := g.PointsPerElem()
 	da := make([]float64, npts)
 	db := make([]float64, npts)
 	var sum float64
-	for e := 0; e < g.NumElems(); e++ {
-		g.DiffAlpha(sw.V2[e], da)
-		g.DiffBeta(sw.V1[e], db)
-		for b := 0; b < np; b++ {
-			for a := 0; a < np; a++ {
-				i := b*np + a
-				zeta := (da[i] - db[i]) / g.SqrtG[e][i]
-				q := zeta + g.Cor[e][i]
-				if sw.Phi[e][i] > 0 {
-					sum += q * q / (2 * sw.Phi[e][i]) * g.MassWeight(e, a, b)
-				}
+	for base := 0; base < len(sw.phiF); base += npts {
+		g.DiffAlpha(sw.v2F[base:base+npts], da)
+		g.DiffBeta(sw.v1F[base:base+npts], db)
+		for i := 0; i < npts; i++ {
+			p := base + i
+			zeta := (da[i] - db[i]) / g.SqrtGF[p]
+			q := zeta + g.CorF[p]
+			if sw.phiF[p] > 0 {
+				sum += q * q / (2 * sw.phiF[p]) * g.MassF[p]
 			}
 		}
 	}

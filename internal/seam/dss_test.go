@@ -32,11 +32,11 @@ func TestDSSSharedPointsCoincide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	npts := g.PointsPerElem()
-	for _, sn := range d.shared {
-		p0 := g.Pos[int(sn.pts[0])/npts][int(sn.pts[0])%npts]
-		for _, p := range sn.pts[1:] {
-			q := g.Pos[int(p)/npts][int(p)%npts]
+	for s := 0; s < d.NumSharedNodes(); s++ {
+		pts := d.members(s)
+		p0 := g.PosF[pts[0]]
+		for _, p := range pts[1:] {
+			q := g.PosF[p]
 			if p0.Sub(q).Norm() > 1e-6 { // metres, on a 6.4e6 m sphere
 				t.Fatalf("shared points %v and %v are %.3e m apart", p0, q, p0.Sub(q).Norm())
 			}
@@ -52,15 +52,13 @@ func TestDSSPreservesContinuousFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := g.Field()
+	flat, q := g.FieldSlab()
 	f := func(p mesh.Vec3) float64 {
 		x, y, z := p.X/g.Radius, p.Y/g.Radius, p.Z/g.Radius
 		return math.Sin(3*x) + math.Cos(2*y)*z
 	}
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			q[e][i] = f(g.Pos[e][i])
-		}
+	for i, p := range g.PosF {
+		flat[i] = f(p)
 	}
 	if disc := d.MaxDiscontinuity(q); disc > 1e-8 {
 		t.Fatalf("continuous field has discontinuity %v before Apply", disc)
@@ -140,6 +138,36 @@ func TestDSSMultiplicity(t *testing.T) {
 	}
 	if d.NumSharedNodes() != hist[2]+hist[3]+hist[4] {
 		t.Errorf("shared node count mismatch")
+	}
+}
+
+// Validate accepts a freshly built plan and rejects a plan with one
+// corrupted vector-geometry entry, denominator or member point: nothing
+// else checks the cached contents the apply paths trust.
+func TestDSSValidateRejectsCorruptPlan(t *testing.T) {
+	g := testGrid(t, 2, 4)
+	fresh := func() *DSS {
+		d, err := NewDSS(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	if err := fresh().Validate(); err != nil {
+		t.Fatalf("fresh plan rejected: %v", err)
+	}
+	interior := int32(g.Np + 1) // point (1, 1) of element 0: one member only
+	for name, corrupt := range map[string]func(d *DSS){
+		"vgeo.gi12": func(d *DSS) { d.vgeo[5].gi12 = math.Nextafter(d.vgeo[5].gi12, 1) },
+		"vgeo.eb":   func(d *DSS) { d.vgeo[len(d.vgeo)-1].eb.Z += 1 },
+		"den":       func(d *DSS) { d.den[3] = math.Nextafter(d.den[3], 0) },
+		"pts":       func(d *DSS) { d.pts[2] = interior },
+	} {
+		d := fresh()
+		corrupt(d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("Validate accepted a plan with corrupted %s", name)
+		}
 	}
 }
 

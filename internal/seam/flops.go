@@ -13,14 +13,6 @@ func diffFlops(np int) int64 {
 	return n*n*(2*n) + n*n
 }
 
-// rhsFlopsAdvection counts the flops of one advection right-hand-side
-// evaluation over k elements: two derivatives plus the pointwise
-// -(ua*da + ub*db) combination (3 multiplies/adds per point).
-func rhsFlopsAdvection(k, np int) int64 {
-	perElem := 2*diffFlops(np) + int64(np*np)*4
-	return int64(k) * perElem
-}
-
 // rhsFlopsShallowWater counts the flops of one shallow-water
 // right-hand-side evaluation over k elements: six spectral derivatives
 // (vorticity 2, energy gradient 2, divergence 2) plus roughly 30 pointwise
@@ -28,6 +20,13 @@ func rhsFlopsAdvection(k, np int) int64 {
 func rhsFlopsShallowWater(k, np int) int64 {
 	perElem := 6*diffFlops(np) + int64(np*np)*30
 	return int64(k) * perElem
+}
+
+// meteredStepFlops is what one RK4 step over k elements adds to
+// ShallowWater.Flops, in both the sequential Step and the Runner: four RHS
+// evaluations plus 3 fields x 4 stages x 4 update operations per point.
+func meteredStepFlops(k, np int) int64 {
+	return 4*rhsFlopsShallowWater(k, np) + int64(k)*int64(np*np)*3*4*4
 }
 
 // StepFlopsShallowWater is the total flops of one RK time step of the

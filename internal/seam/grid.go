@@ -26,11 +26,9 @@ const Gravity = 9.80616
 // coordinate 2 is beta.
 //
 // Memory layout: every per-point array is one contiguous element-major slab
-// ([]T of length K*Np*Np); the exported [][]T fields are per-element
-// subslice views into that slab, kept for API compatibility. Point (e, idx)
-// lives at slab offset e*Np*Np + idx, so a flat element-point id doubles as
-// a direct slab offset — the hot paths (batched RHS kernels, DSS exchange
-// plans) index the slabs and never chase the per-element slice headers.
+// ([]T of length K*Np*Np). Point (e, idx) lives at slab offset
+// e*Np*Np + idx, so a flat element-point id doubles as a direct slab offset
+// for the batched RHS kernels and the DSS exchange plan.
 type Grid struct {
 	M      *mesh.Mesh
 	GLL    *GLL
@@ -39,23 +37,14 @@ type Grid struct {
 
 	Np int // GLL points per element edge
 
-	// Per element (indexed by mesh.ElemID), per GLL point views:
-	Pos   [][]mesh.Vec3 // position on the sphere of radius Radius
-	Ea    [][]mesh.Vec3 // covariant basis vector d(Pos)/d(alpha)
-	Eb    [][]mesh.Vec3 // covariant basis vector d(Pos)/d(beta)
-	SqrtG [][]float64   // area Jacobian sqrt(det g)
-	G11   [][]float64   // covariant metric g_11 = Ea.Ea
-	G12   [][]float64   // covariant metric g_12 = Ea.Eb
-	G22   [][]float64   // covariant metric g_22 = Eb.Eb
-	GI11  [][]float64   // contravariant metric (inverse of g)
-	GI12  [][]float64
-	GI22  [][]float64
-	Cor   [][]float64 // Coriolis parameter f = 2*Omega*z/Radius
-
-	// Contiguous element-major slabs backing the views above (same memory).
-	PosF, EaF, EbF            []mesh.Vec3
-	SqrtGF, G11F, G12F, G22F  []float64
-	GI11F, GI12F, GI22F, CorF []float64
+	// Per GLL point, element-major:
+	PosF     []mesh.Vec3 // position on the sphere of radius Radius
+	EaF, EbF []mesh.Vec3 // covariant basis vectors d(Pos)/d(alpha), d(Pos)/d(beta)
+	SqrtGF   []float64   // area Jacobian sqrt(det g)
+	// Covariant metric g_ij = e_i.e_j and its inverse g^ij.
+	G11F, G12F, G22F    []float64
+	GI11F, GI12F, GI22F []float64
+	CorF                []float64 // Coriolis parameter f = 2*Omega*z/Radius
 
 	// RSqrtGF is the precomputed reciprocal 1/SqrtGF, element-major. The RHS
 	// hot loops multiply by it instead of dividing by the Jacobian (a ~14
@@ -148,54 +137,36 @@ func viewsOver(flat []float64, k, npts int) [][]float64 {
 	return out
 }
 
-func viewsOverV(flat []mesh.Vec3, k, npts int) [][]mesh.Vec3 {
-	out := make([][]mesh.Vec3, k)
-	for e := range out {
-		out[e] = flat[e*npts : (e+1)*npts]
-	}
-	return out
-}
-
-// buildGeometry fills every per-point geometric array.
+// buildGeometry fills every per-point geometric slab.
 func (g *Grid) buildGeometry() {
 	k := g.NumElems()
 	npts := g.PointsPerElem()
-	alloc := func(slab *[]float64) [][]float64 {
-		*slab = make([]float64, k*npts)
-		return viewsOver(*slab, k, npts)
+	n := k * npts
+	g.PosF, g.EaF, g.EbF = make([]mesh.Vec3, n), make([]mesh.Vec3, n), make([]mesh.Vec3, n)
+	for _, slab := range []*[]float64{&g.SqrtGF, &g.RSqrtGF, &g.G11F, &g.G12F, &g.G22F, &g.GI11F, &g.GI12F, &g.GI22F, &g.CorF} {
+		*slab = make([]float64, n)
 	}
-	allocV := func(slab *[]mesh.Vec3) [][]mesh.Vec3 {
-		*slab = make([]mesh.Vec3, k*npts)
-		return viewsOverV(*slab, k, npts)
-	}
-	g.Pos, g.Ea, g.Eb = allocV(&g.PosF), allocV(&g.EaF), allocV(&g.EbF)
-	g.SqrtG, g.G11, g.G12, g.G22 = alloc(&g.SqrtGF), alloc(&g.G11F), alloc(&g.G12F), alloc(&g.G22F)
-	g.GI11, g.GI12, g.GI22 = alloc(&g.GI11F), alloc(&g.GI12F), alloc(&g.GI22F)
-	g.Cor = alloc(&g.CorF)
-	g.RSqrtGF = make([]float64, k*npts)
 
 	for e := 0; e < k; e++ {
 		id := mesh.ElemID(e)
 		f := g.M.Elem(id).Face
 		for b := 0; b < g.Np; b++ {
 			for a := 0; a < g.Np; a++ {
-				idx := b*g.Np + a
+				i := e*npts + b*g.Np + a
 				alpha, beta := g.elemAngles(id, a, b)
 				p, ea, eb := g.pointAndBasis(f, alpha, beta)
-				g.Pos[e][idx] = p
-				g.Ea[e][idx] = ea
-				g.Eb[e][idx] = eb
+				g.PosF[i], g.EaF[i], g.EbF[i] = p, ea, eb
 				g11 := ea.Dot(ea)
 				g12 := ea.Dot(eb)
 				g22 := eb.Dot(eb)
 				det := g11*g22 - g12*g12
-				g.G11[e][idx], g.G12[e][idx], g.G22[e][idx] = g11, g12, g22
-				g.SqrtG[e][idx] = math.Sqrt(det)
-				g.RSqrtGF[e*npts+idx] = 1 / g.SqrtG[e][idx]
-				g.GI11[e][idx] = g22 / det
-				g.GI12[e][idx] = -g12 / det
-				g.GI22[e][idx] = g11 / det
-				g.Cor[e][idx] = 2 * g.Omega * p.Z / g.Radius // rotation about +Z
+				g.G11F[i], g.G12F[i], g.G22F[i] = g11, g12, g22
+				g.SqrtGF[i] = math.Sqrt(det)
+				g.RSqrtGF[i] = 1 / g.SqrtGF[i]
+				g.GI11F[i] = g22 / det
+				g.GI12F[i] = -g12 / det
+				g.GI22F[i] = g11 / det
+				g.CorF[i] = 2 * g.Omega * p.Z / g.Radius // rotation about +Z
 			}
 		}
 	}
@@ -212,8 +183,8 @@ func (g *Grid) buildMass() {
 	for e := 0; e < g.NumElems(); e++ {
 		for b := 0; b < np; b++ {
 			for a := 0; a < np; a++ {
-				g.MassF[e*npts+b*np+a] =
-					g.GLL.Wts[a] * g.GLL.Wts[b] * g.SqrtG[e][b*np+a] * (g.DAlpha / 2) * (g.DAlpha / 2)
+				i := e*npts + b*np + a
+				g.MassF[i] = g.GLL.Wts[a] * g.GLL.Wts[b] * g.SqrtGF[i] * (g.DAlpha / 2) * (g.DAlpha / 2)
 			}
 		}
 	}
@@ -228,10 +199,8 @@ func (g *Grid) SetRotationAxis(axis mesh.Vec3) error {
 	if err != nil {
 		return fmt.Errorf("seam: rotation axis: %w", err)
 	}
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			g.Cor[e][i] = 2 * g.Omega * g.Pos[e][i].Dot(n) / g.Radius
-		}
+	for i, p := range g.PosF {
+		g.CorF[i] = 2 * g.Omega * p.Dot(n) / g.Radius
 	}
 	return nil
 }
@@ -256,9 +225,7 @@ func (g *Grid) FieldSlab() (flat []float64, views [][]float64) {
 
 // Slab returns the contiguous element-major backing of a field whose
 // per-element views all alias one flat allocation (as produced by Field or
-// FieldSlab), or nil if the views are not a single contiguous block. Hot
-// paths use the slab directly; callers that handed in independently
-// allocated rows fall back to the view-based paths.
+// FieldSlab), or nil if the views are not a single contiguous block.
 func (g *Grid) Slab(q [][]float64) []float64 {
 	k := g.NumElems()
 	npts := g.PointsPerElem()
@@ -270,6 +237,16 @@ func (g *Grid) Slab(q [][]float64) []float64 {
 		if len(q[e]) != npts || &q[e][0] != &flat[e*npts] {
 			return nil
 		}
+	}
+	return flat
+}
+
+// mustSlab is Slab for the entry points that only run on slab-backed
+// fields: it panics on per-element rows allocated one by one.
+func (g *Grid) mustSlab(q [][]float64) []float64 {
+	flat := g.Slab(q)
+	if flat == nil {
+		panic("seam: field is not backed by one contiguous slab; allocate it with Grid.Field or Grid.FieldSlab")
 	}
 	return flat
 }
@@ -316,30 +293,6 @@ func (g *Grid) DiffAlphaBeta(u, dua, dub []float64) {
 	diffBetaGeneric(g.Np, g.GLL.D, u, dub, scale)
 }
 
-// DiffBatch computes both derivatives of the listed elements' blocks of the
-// flat element-major slab u into the slabs dua and dub: the batched form of
-// DiffAlphaBeta that a rank applies to its whole element list, streaming
-// each element's Np*Np block through cache once. The Np dispatch is hoisted
-// out of the element loop.
-func (g *Grid) DiffBatch(elems []int32, u, dua, dub []float64) {
-	npts := g.Np * g.Np
-	scale := 2 / g.DAlpha
-	if g.Np == 8 {
-		d := g.GLL.D
-		for _, e32 := range elems {
-			base := int(e32) * npts
-			diffAlpha8(d, u[base:base+npts], dua[base:base+npts], scale)
-			diffBeta8(d, u[base:base+npts], dub[base:base+npts], scale)
-		}
-		return
-	}
-	for _, e32 := range elems {
-		base := int(e32) * npts
-		diffAlphaGeneric(g.Np, g.GLL.Dt, u[base:base+npts], dua[base:base+npts], scale)
-		diffBetaGeneric(g.Np, g.GLL.D, u[base:base+npts], dub[base:base+npts], scale)
-	}
-}
-
 // MassWeight returns the quadrature mass of GLL point (a, b) of element e:
 // w_a * w_b * sqrtG (the local contribution to the global mass matrix),
 // read from the precomputed MassF slab.
@@ -348,22 +301,14 @@ func (g *Grid) MassWeight(e int, a, b int) float64 {
 }
 
 // Integrate returns the integral of field q over the whole sphere using GLL
-// quadrature.
-func (g *Grid) Integrate(q [][]float64) float64 {
+// quadrature. q must be slab-backed (see Field).
+func (g *Grid) Integrate(q [][]float64) float64 { return g.integrate(g.mustSlab(q)) }
+
+// integrate is Integrate on a flat element-major slab.
+func (g *Grid) integrate(flat []float64) float64 {
 	var sum float64
-	npts := g.PointsPerElem()
-	if flat := g.Slab(q); flat != nil {
-		for i, v := range flat {
-			sum += v * g.MassF[i]
-		}
-		return sum
-	}
-	for e := 0; e < g.NumElems(); e++ {
-		qe := q[e]
-		me := g.MassF[e*npts : (e+1)*npts]
-		for i := 0; i < npts; i++ {
-			sum += qe[i] * me[i]
-		}
+	for i, v := range flat {
+		sum += v * g.MassF[i]
 	}
 	return sum
 }

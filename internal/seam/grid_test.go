@@ -30,12 +30,9 @@ func TestNewGridErrors(t *testing.T) {
 
 func TestGridPointsOnSphere(t *testing.T) {
 	g := testGrid(t, 3, 4)
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			r := g.Pos[e][i].Norm()
-			if math.Abs(r-EarthRadius) > 1e-6 {
-				t.Fatalf("elem %d point %d radius %v", e, i, r)
-			}
+	for i, p := range g.PosF {
+		if r := p.Norm(); math.Abs(r-EarthRadius) > 1e-6 {
+			t.Fatalf("point %d radius %v", i, r)
 		}
 	}
 }
@@ -46,11 +43,12 @@ func TestGridBasisVectors(t *testing.T) {
 	g := testGrid(t, 2, 5)
 	for _, e := range []int{0, 7, 13, 23} {
 		for _, i := range []int{0, 17, g.PointsPerElem() - 1} {
-			p := g.Pos[e][i]
-			if math.Abs(g.Ea[e][i].Dot(p))/EarthRadius/EarthRadius > 1e-10 {
+			j := e*g.PointsPerElem() + i
+			p := g.PosF[j]
+			if math.Abs(g.EaF[j].Dot(p))/EarthRadius/EarthRadius > 1e-10 {
 				t.Errorf("Ea not tangent at elem %d point %d", e, i)
 			}
-			if math.Abs(g.Eb[e][i].Dot(p))/EarthRadius/EarthRadius > 1e-10 {
+			if math.Abs(g.EbF[j].Dot(p))/EarthRadius/EarthRadius > 1e-10 {
 				t.Errorf("Eb not tangent at elem %d point %d", e, i)
 			}
 		}
@@ -104,11 +102,13 @@ func TestGridAreaIntegral(t *testing.T) {
 // The contravariant metric must invert the covariant one.
 func TestGridMetricInverse(t *testing.T) {
 	g := testGrid(t, 2, 4)
+	npts := g.PointsPerElem()
 	for e := 0; e < g.NumElems(); e += 5 {
-		for i := 0; i < g.PointsPerElem(); i += 3 {
-			a11 := g.G11[e][i]*g.GI11[e][i] + g.G12[e][i]*g.GI12[e][i]
-			a12 := g.G11[e][i]*g.GI12[e][i] + g.G12[e][i]*g.GI22[e][i]
-			a22 := g.G12[e][i]*g.GI12[e][i] + g.G22[e][i]*g.GI22[e][i]
+		for i := 0; i < npts; i += 3 {
+			j := e*npts + i
+			a11 := g.G11F[j]*g.GI11F[j] + g.G12F[j]*g.GI12F[j]
+			a12 := g.G11F[j]*g.GI12F[j] + g.G12F[j]*g.GI22F[j]
+			a22 := g.G12F[j]*g.GI12F[j] + g.G22F[j]*g.GI22F[j]
 			if math.Abs(a11-1) > 1e-10 || math.Abs(a12) > 1e-10 || math.Abs(a22-1) > 1e-10 {
 				t.Fatalf("metric inverse wrong at elem %d point %d: %v %v %v", e, i, a11, a12, a22)
 			}
@@ -120,19 +120,17 @@ func TestGridMetricInverse(t *testing.T) {
 func TestGridCoriolis(t *testing.T) {
 	g := testGrid(t, 3, 4)
 	var foundPole, foundEq bool
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			z := g.Pos[e][i].Z / EarthRadius
-			f := g.Cor[e][i]
-			if math.Abs(f-2*EarthOmega*z) > 1e-16+1e-12*math.Abs(f) {
-				t.Fatalf("Coriolis wrong at elem %d point %d", e, i)
-			}
-			if z > 0.999 {
-				foundPole = true
-			}
-			if math.Abs(z) < 1e-9 {
-				foundEq = true
-			}
+	for i, p := range g.PosF {
+		z := p.Z / EarthRadius
+		f := g.CorF[i]
+		if math.Abs(f-2*EarthOmega*z) > 1e-16+1e-12*math.Abs(f) {
+			t.Fatalf("Coriolis wrong at point %d", i)
+		}
+		if z > 0.999 {
+			foundPole = true
+		}
+		if math.Abs(z) < 1e-9 {
+			foundEq = true
 		}
 	}
 	if !foundPole || !foundEq {

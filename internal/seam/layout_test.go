@@ -3,6 +3,8 @@ package seam
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -46,9 +48,9 @@ func TestFieldSlabAliasesViews(t *testing.T) {
 	}
 }
 
-// Grid.Integrate must be unchanged by the layout refactor: the slab fast
-// path, the view fallback, and the definitional per-point MassWeight sum
-// (in the same element-major order) all agree bitwise.
+// Grid.Integrate must be unchanged by the layout refactor: the slab path
+// and the definitional per-point MassWeight sum (in the same element-major
+// order) agree bitwise.
 func TestIntegrateUnchangedByLayout(t *testing.T) {
 	g := testGrid(t, 3, 5)
 	np := g.Np
@@ -71,19 +73,11 @@ func TestIntegrateUnchangedByLayout(t *testing.T) {
 	if got := g.Integrate(q); got != want {
 		t.Errorf("Integrate (slab path) = %v, want %v (diff %g)", got, want, got-want)
 	}
-	// Copy into a non-contiguous field: the fallback path must agree too.
-	ragged := make([][]float64, g.NumElems())
-	for e := range ragged {
-		ragged[e] = append([]float64(nil), q[e]...)
-	}
-	if got := g.Integrate(ragged); got != want {
-		t.Errorf("Integrate (fallback path) = %v, want %v", got, want)
-	}
 	// MassWeight itself must still be the quadrature expression.
 	for _, e := range []int{0, 5, g.NumElems() - 1} {
 		for b := 0; b < np; b++ {
 			for a := 0; a < np; a++ {
-				expr := g.GLL.Wts[a] * g.GLL.Wts[b] * g.SqrtG[e][b*np+a] * (g.DAlpha / 2) * (g.DAlpha / 2)
+				expr := g.GLL.Wts[a] * g.GLL.Wts[b] * g.SqrtGF[e*np*np+b*np+a] * (g.DAlpha / 2) * (g.DAlpha / 2)
 				if g.MassWeight(e, a, b) != expr {
 					t.Fatalf("MassWeight(%d,%d,%d) != w_a w_b sqrtG (dA/2)^2", e, a, b)
 				}
@@ -113,35 +107,139 @@ func TestDiffAlphaBetaMatchesSeparate(t *testing.T) {
 				i, daF[i], dbF[i], daS[i], dbS[i])
 		}
 	}
-	// DiffBatch over a subset must write exactly those element blocks of the
-	// slabs.
-	flat, views := g.FieldSlab()
-	for i := range flat {
-		flat[i] = rng.NormFloat64()
+}
+
+// Every entry point that takes per-element views runs only on slab-backed
+// fields; rows allocated one by one are refused with a panic that names the
+// allocators, never silently misread.
+func TestRaggedFieldPanics(t *testing.T) {
+	g := testGrid(t, 2, 3)
+	d, err := NewDSS(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dua, _ := g.FieldSlab()
-	dub, _ := g.FieldSlab()
-	elems := []int32{1, 4, 9}
-	g.DiffBatch(elems, flat, dua, dub)
-	for _, e := range elems {
-		base := int(e) * npts
-		g.DiffAlpha(views[e], daS)
-		g.DiffBeta(views[e], dbS)
-		for i := 0; i < npts; i++ {
-			if dua[base+i] != daS[i] || dub[base+i] != dbS[i] {
-				t.Fatalf("DiffBatch differs at elem %d point %d", e, i)
-			}
+	ragged := make([][]float64, g.NumElems())
+	for e := range ragged {
+		ragged[e] = make([]float64, g.PointsPerElem())
+	}
+	for name, f := range map[string]func(){
+		"Integrate":        func() { g.Integrate(ragged) },
+		"Apply":            func() { d.Apply(ragged) },
+		"ApplyVector":      func() { d.ApplyVector(g.Field(), ragged) },
+		"MaxDiscontinuity": func() { d.MaxDiscontinuity(ragged) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Grid.Field") || !strings.Contains(msg, "FieldSlab") {
+					t.Errorf("%s on a ragged field: panic %q, want one naming Grid.Field/FieldSlab", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// refShared is the reference per-node assembly table: for every global
+// node touched by more than one element, its member points in ascending
+// order and their quadrature masses, rebuilt from nodeOf independently of
+// the CSR exchange plan.
+type refShared struct {
+	pts  []int32 // elem*npts + idx
+	mass []float64
+}
+
+func refSharedNodes(d *DSS) []refShared {
+	g := d.g
+	np := g.Np
+	npts := np * np
+	members := make([][]int32, d.numNodes)
+	for i, gid := range d.nodeOf {
+		members[gid] = append(members[gid], int32(i))
+	}
+	var out []refShared
+	for _, pts := range members {
+		if len(pts) < 2 {
+			continue
+		}
+		sn := refShared{pts: pts, mass: make([]float64, len(pts))}
+		for i, p := range pts {
+			e := int(p) / npts
+			idx := int(p) % npts
+			sn.mass[i] = g.MassWeight(e, idx%np, idx/np)
+		}
+		out = append(out, sn)
+	}
+	return out
+}
+
+// refApply is the (elem, idx) projection the exchange plan replaced: it
+// indexes per-element rows, so it runs on any [][]float64.
+func refApply(d *DSS, q [][]float64) {
+	npts := d.g.PointsPerElem()
+	for _, sn := range refSharedNodes(d) {
+		var num, den float64
+		for i, p := range sn.pts {
+			num += sn.mass[i] * q[int(p)/npts][int(p)%npts]
+			den += sn.mass[i]
+		}
+		avg := num / den
+		for _, p := range sn.pts {
+			q[int(p)/npts][int(p)%npts] = avg
 		}
 	}
 }
 
-// The DSS exchange-plan fast path and the (elem, idx) fallback must produce
-// bitwise identical projections.
+// refApplyVector is the (elem, idx) covariant-vector projection the
+// exchange plan replaced.
+func refApplyVector(d *DSS, v1, v2 [][]float64) {
+	g := d.g
+	npts := g.PointsPerElem()
+	for _, sn := range refSharedNodes(d) {
+		var sx, sy, sz, den float64
+		for i, p := range sn.pts {
+			e, idx := int(p)/npts, int(p)%npts
+			u1 := g.GI11F[p]*v1[e][idx] + g.GI12F[p]*v2[e][idx]
+			u2 := g.GI12F[p]*v1[e][idx] + g.GI22F[p]*v2[e][idx]
+			ea, eb := g.EaF[p], g.EbF[p]
+			m := sn.mass[i]
+			sx += m * (u1*ea.X + u2*eb.X)
+			sy += m * (u1*ea.Y + u2*eb.Y)
+			sz += m * (u1*ea.Z + u2*eb.Z)
+			den += m
+		}
+		rd := 1 / den
+		sx, sy, sz = sx*rd, sy*rd, sz*rd
+		for _, p := range sn.pts {
+			e, idx := int(p)/npts, int(p)%npts
+			ea, eb := g.EaF[p], g.EbF[p]
+			v1[e][idx] = sx*ea.X + sy*ea.Y + sz*ea.Z
+			v2[e][idx] = sx*eb.X + sy*eb.Y + sz*eb.Z
+		}
+	}
+}
+
+// The DSS exchange plan and the (elem, idx) reference projection must
+// produce bitwise identical results, and the plan must list exactly the
+// reference's nodes and members in the same order.
 func TestDSSPlanMatchesFallback(t *testing.T) {
 	g := testGrid(t, 2, 4)
 	d, err := NewDSS(g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ref := refSharedNodes(d)
+	if len(ref) != d.NumSharedNodes() {
+		t.Fatalf("plan has %d nodes, reference %d", d.NumSharedNodes(), len(ref))
+	}
+	for s, sn := range ref {
+		pts := d.members(s)
+		if !slices.Equal(pts, sn.pts) {
+			t.Fatalf("plan node %d members %v, reference %v", s, pts, sn.pts)
+		}
+		if !slices.Equal(d.mass[d.ptr[s]:d.ptr[s+1]], sn.mass) {
+			t.Fatalf("plan node %d masses differ from the reference", s)
+		}
 	}
 	rng := rand.New(rand.NewSource(11))
 	contig := g.Field() // slab-backed: takes the plan path
@@ -150,10 +248,10 @@ func TestDSSPlanMatchesFallback(t *testing.T) {
 		for i := range contig[e] {
 			contig[e][i] = rng.NormFloat64()
 		}
-		ragged[e] = append([]float64(nil), contig[e]...) // fallback path
+		ragged[e] = append([]float64(nil), contig[e]...) // reference path
 	}
 	d.Apply(contig)
-	d.Apply(ragged)
+	refApply(d, ragged)
 	for e := range contig {
 		for i := range contig[e] {
 			if contig[e][i] != ragged[e][i] {
@@ -174,7 +272,7 @@ func TestDSSPlanMatchesFallback(t *testing.T) {
 		rv2[e] = append([]float64(nil), cv2[e]...)
 	}
 	d.ApplyVector(cv1, cv2)
-	d.ApplyVector(rv1, rv2)
+	refApplyVector(d, rv1, rv2)
 	for e := range cv1 {
 		for i := range cv1[e] {
 			if cv1[e][i] != rv1[e][i] || cv2[e][i] != rv2[e][i] {

@@ -141,10 +141,11 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 		}
 		sets[from][to] = true
 	}
-	for i, sn := range sw.Dss.shared {
-		owner := assign[int(sn.pts[0])/npts]
-		r.ownedShared[owner] = append(r.ownedShared[owner], int32(i))
-		for _, p := range sn.pts {
+	for s := 0; s < sw.Dss.NumSharedNodes(); s++ {
+		pts := sw.Dss.members(s)
+		owner := assign[int(pts[0])/npts]
+		r.ownedShared[owner] = append(r.ownedShared[owner], int32(s))
+		for _, p := range pts {
 			member := assign[int(p)/npts]
 			if member != owner {
 				// The member sends its contribution to the owner and the
@@ -180,7 +181,7 @@ func NewRunner(sw *ShallowWater, assign []int32, nranks int) (*Runner, error) {
 	// Precompute the per-step meter increments so step-boundary
 	// publication is pure atomic arithmetic.
 	r.published = make([]atomic.Int64, nranks)
-	r.flopsPerStep = 4*rhsFlopsShallowWater(k, sw.G.Np) + int64(k)*int64(npts)*3*4*4
+	r.flopsPerStep = meteredStepFlops(k, sw.G.Np)
 	for _, b := range r.sentPerApply {
 		r.totalBytesPerStep += b * 4 * 3
 	}
@@ -411,8 +412,6 @@ func (r *Runner) taskFinish(ctl *runControl, w, steps int, dt float64, rk int32)
 // runSteps is the shared body of Run and RunCtx; ctl is nil on the plain
 // Run path.
 func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration, error) {
-	sw := r.SW
-	g := sw.G
 	for i := range r.BusyTime {
 		r.BusyTime[i] = 0
 	}
@@ -454,8 +453,7 @@ func (r *Runner) runSteps(ctl *runControl, steps int, dt float64) (time.Duration
 	}
 	// Meter the work exactly as the sequential Step does (the runner
 	// performs the same arithmetic, just distributed).
-	sw.Flops += int64(steps) * (4*rhsFlopsShallowWater(g.NumElems(), g.Np) +
-		int64(g.NumElems())*int64(g.PointsPerElem())*3*4*4)
+	r.SW.Flops += int64(steps) * r.flopsPerStep
 	return elapsed, nil
 }
 

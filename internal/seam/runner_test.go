@@ -45,18 +45,18 @@ func TestNewRunnerErrors(t *testing.T) {
 }
 
 // requireBitwiseEqual fails if any prognostic field of the two solvers
-// differs in any bit (compared as float64 values).
+// differs in any bit.
 func requireBitwiseEqual(t *testing.T, seqSW, parSW *ShallowWater, label string) {
 	t.Helper()
-	for e := 0; e < seqSW.G.NumElems(); e++ {
-		for i := 0; i < seqSW.G.PointsPerElem(); i++ {
-			if seqSW.Phi[e][i] != parSW.Phi[e][i] {
-				t.Fatalf("%s: Phi differs at elem %d point %d: %v vs %v",
-					label, e, i, seqSW.Phi[e][i], parSW.Phi[e][i])
-			}
-			if seqSW.V1[e][i] != parSW.V1[e][i] || seqSW.V2[e][i] != parSW.V2[e][i] {
-				t.Fatalf("%s: velocity differs at elem %d point %d", label, e, i)
-			}
+	sv1, sv2, sphi := seqSW.StateSlabs()
+	pv1, pv2, pphi := parSW.StateSlabs()
+	for i := range sphi {
+		if math.Float64bits(sphi[i]) != math.Float64bits(pphi[i]) {
+			t.Fatalf("%s: Phi differs at point %d: %v vs %v", label, i, sphi[i], pphi[i])
+		}
+		if math.Float64bits(sv1[i]) != math.Float64bits(pv1[i]) ||
+			math.Float64bits(sv2[i]) != math.Float64bits(pv2[i]) {
+			t.Fatalf("%s: velocity differs at point %d", label, i)
 		}
 	}
 }
@@ -189,13 +189,7 @@ func TestRunnerSingleRankMatchesSequential(t *testing.T) {
 	}
 	r, _ := NewRunner(parSW, blockAssign(parSW.G.NumElems(), 1), 1)
 	r.Run(3, dt)
-	for e := 0; e < seqSW.G.NumElems(); e++ {
-		for i := 0; i < seqSW.G.PointsPerElem(); i++ {
-			if seqSW.Phi[e][i] != parSW.Phi[e][i] {
-				t.Fatalf("Phi differs at elem %d point %d", e, i)
-			}
-		}
-	}
+	requireBitwiseEqual(t, seqSW, parSW, "single rank")
 }
 
 func TestRunnerOwnership(t *testing.T) {

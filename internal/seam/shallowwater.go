@@ -26,15 +26,12 @@ type ShallowWater struct {
 	G   *Grid
 	Dss *DSS
 
-	// Prognostic state: covariant velocity components and geopotential,
-	// exposed as per-element views over the contiguous slabs below.
-	V1, V2, Phi [][]float64
-
 	// Flops counts floating point operations performed so far.
 	Flops int64
 
-	// Contiguous element-major slabs backing the prognostic views (same
-	// memory; point (e, i) at offset e*Np*Np+i).
+	// Prognostic state: covariant velocity components and geopotential,
+	// as contiguous element-major slabs (point (e, i) at offset
+	// e*Np*Np+i; see StateSlabs).
 	v1F, v2F, phiF []float64
 
 	// Tendency, RK stage-state and accumulator slabs, shared by the
@@ -43,9 +40,6 @@ type ShallowWater struct {
 	k1v1F, k1v2F, k1pF []float64
 	sv1F, sv2F, spF    []float64
 	av1F, av2F, apF    []float64
-	// Per-element views of the tendency/stage slabs kept for the
-	// view-based helpers (hyperviscosity, diagnostics).
-	k1p, sp [][]float64
 
 	// allElems lists every element id, the "rank" of the sequential solver
 	// for the batched kernels.
@@ -80,18 +74,14 @@ func NewShallowWater(g *Grid) (*ShallowWater, error) {
 		return nil, err
 	}
 	sw := &ShallowWater{G: g, Dss: dss}
-	sw.v1F, sw.V1 = g.FieldSlab()
-	sw.v2F, sw.V2 = g.FieldSlab()
-	sw.phiF, sw.Phi = g.FieldSlab()
-	sw.k1v1F, _ = g.FieldSlab()
-	sw.k1v2F, _ = g.FieldSlab()
-	sw.k1pF, sw.k1p = g.FieldSlab()
-	sw.sv1F, _ = g.FieldSlab()
-	sw.sv2F, _ = g.FieldSlab()
-	sw.spF, sw.sp = g.FieldSlab()
-	sw.av1F, _ = g.FieldSlab()
-	sw.av2F, _ = g.FieldSlab()
-	sw.apF, _ = g.FieldSlab()
+	for _, slab := range []*[]float64{
+		&sw.v1F, &sw.v2F, &sw.phiF,
+		&sw.k1v1F, &sw.k1v2F, &sw.k1pF,
+		&sw.sv1F, &sw.sv2F, &sw.spF,
+		&sw.av1F, &sw.av2F, &sw.apF,
+	} {
+		*slab = make([]float64, g.NumElems()*g.PointsPerElem())
+	}
 	sw.allElems = make([]int32, g.NumElems())
 	for e := range sw.allElems {
 		sw.allElems[e] = int32(e)
@@ -100,10 +90,10 @@ func NewShallowWater(g *Grid) (*ShallowWater, error) {
 	return sw, nil
 }
 
-// StateSlabs returns the contiguous element-major slabs backing the
-// prognostic fields V1, V2 and Phi (the same memory as the per-element
-// views; point (e, i) lives at offset e*Np*Np + i). Writing through the
-// returned slices mutates the model state. The prognostic slabs plus a step
+// StateSlabs returns the contiguous element-major slabs of the prognostic
+// fields: covariant velocities v1, v2 and geopotential phi (point (e, i)
+// lives at offset e*Np*Np + i). Writing through the returned slices
+// mutates the model state. The prognostic slabs plus a step
 // counter are the complete restart state of the integrator: every other
 // internal slab (tendencies, RK stage states, accumulators) is
 // re-initialised at the start of each step, which is what makes
@@ -117,29 +107,14 @@ func (sw *ShallowWater) StateSlabs() (v1, v2, phi []float64) {
 // of position.
 func (sw *ShallowWater) SetState(wind func(p mesh.Vec3) mesh.Vec3, phi func(p mesh.Vec3) float64) {
 	g := sw.G
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			v := wind(g.Pos[e][i])
-			sw.V1[e][i] = v.Dot(g.Ea[e][i])
-			sw.V2[e][i] = v.Dot(g.Eb[e][i])
-			sw.Phi[e][i] = phi(g.Pos[e][i])
-		}
+	for i, p := range g.PosF {
+		v := wind(p)
+		sw.v1F[i] = v.Dot(g.EaF[i])
+		sw.v2F[i] = v.Dot(g.EbF[i])
+		sw.phiF[i] = phi(p)
 	}
-	sw.Dss.ApplyVector(sw.V1, sw.V2)
-	sw.Dss.Apply(sw.Phi)
-}
-
-// rhsElems evaluates the vector-invariant tendencies of the listed elements
-// on flat element-major slabs, using scr for per-element scratch. This is
-// the single batched compute kernel shared by the sequential Step and the
-// parallel Runner (which calls it with each rank's element list), so the two
-// paths are bitwise identical by construction. No DSS, no flop metering:
-// the callers handle both.
-func (sw *ShallowWater) rhsElems(elems []int32, scr *rhsScratch, v1, v2, phi, tv1, tv2, tphi []float64) {
-	npts := sw.G.Np * sw.G.Np
-	for _, e32 := range elems {
-		sw.rhsElem(int(e32)*npts, scr, v1, v2, phi, tv1, tv2, tphi)
-	}
+	sw.Dss.applyVectorFlat(sw.v1F, sw.v2F)
+	sw.Dss.applyFlat(sw.phiF)
 }
 
 // rhsElem evaluates the tendencies of the single element whose slab offset is
@@ -269,22 +244,19 @@ func (sw *ShallowWater) finishElems(elems []int32, dt float64) {
 	}
 }
 
-// rhs evaluates the tendencies of the full state (flat slabs) into
-// (tv1, tv2, tphi), including the DSS projection.
-func (sw *ShallowWater) rhs(v1, v2, phi, tv1, tv2, tphi []float64) {
-	g := sw.G
-	sw.rhsElems(sw.allElems, sw.scr, v1, v2, phi, tv1, tv2, tphi)
-	sw.Flops += rhsFlopsShallowWater(g.NumElems(), g.Np)
-	sw.Dss.applyVectorFlat(tv1, tv2)
-	sw.Dss.applyFlat(tphi)
-}
-
 // RHS evaluates one RK stage's tendencies of the current prognostic state
 // into the internal tendency buffers, including the DSS projection — the
 // compute + exchange unit the partitioner must balance. Exported for the
 // BenchmarkRHS micro-benchmark and for diagnostics.
 func (sw *ShallowWater) RHS() {
-	sw.rhs(sw.v1F, sw.v2F, sw.phiF, sw.k1v1F, sw.k1v2F, sw.k1pF)
+	g := sw.G
+	npts := g.PointsPerElem()
+	for _, e32 := range sw.allElems {
+		sw.rhsElem(int(e32)*npts, sw.scr, sw.v1F, sw.v2F, sw.phiF, sw.k1v1F, sw.k1v2F, sw.k1pF)
+	}
+	sw.Flops += rhsFlopsShallowWater(g.NumElems(), g.Np)
+	sw.Dss.applyVectorFlat(sw.k1v1F, sw.k1v2F)
+	sw.Dss.applyFlat(sw.k1pF)
 }
 
 // Step advances the state by one RK4 step of size dt seconds. Each stage is
@@ -294,17 +266,13 @@ func (sw *ShallowWater) RHS() {
 // so Step and the Runner perform identical per-point arithmetic in identical
 // order.
 func (sw *ShallowWater) Step(dt float64) {
-	g := sw.G
-	npts := g.PointsPerElem()
-	k := g.NumElems()
 	for st := 0; st < 4; st++ {
 		sw.stageElems(sw.allElems, st, dt, sw.scr)
-		sw.Flops += rhsFlopsShallowWater(k, g.Np)
 		sw.Dss.applyVectorFlat(sw.k1v1F, sw.k1v2F)
 		sw.Dss.applyFlat(sw.k1pF)
 	}
 	sw.finishElems(sw.allElems, dt)
-	sw.Flops += int64(k) * int64(npts) * 3 * 4 * 4
+	sw.Flops += meteredStepFlops(sw.G.NumElems(), sw.G.Np)
 }
 
 // MaxStableDt estimates a stable time step from the gravity-wave CFL
@@ -313,18 +281,15 @@ func (sw *ShallowWater) MaxStableDt(cfl float64) float64 {
 	g := sw.G
 	minSpacing := (g.GLL.Points[1] - g.GLL.Points[0]) / 2 * g.DAlpha * g.Radius
 	var vmax, pmax float64
-	for e := 0; e < g.NumElems(); e++ {
-		for i := 0; i < g.PointsPerElem(); i++ {
-			u1, u2 := 0.0, 0.0
-			u1 = g.GI11[e][i]*sw.V1[e][i] + g.GI12[e][i]*sw.V2[e][i]
-			u2 = g.GI12[e][i]*sw.V1[e][i] + g.GI22[e][i]*sw.V2[e][i]
-			v2 := g.G11[e][i]*u1*u1 + 2*g.G12[e][i]*u1*u2 + g.G22[e][i]*u2*u2
-			if v := math.Sqrt(v2); v > vmax {
-				vmax = v
-			}
-			if sw.Phi[e][i] > pmax {
-				pmax = sw.Phi[e][i]
-			}
+	for i, phi := range sw.phiF {
+		u1 := g.GI11F[i]*sw.v1F[i] + g.GI12F[i]*sw.v2F[i]
+		u2 := g.GI12F[i]*sw.v1F[i] + g.GI22F[i]*sw.v2F[i]
+		v2 := g.G11F[i]*u1*u1 + 2*g.G12F[i]*u1*u2 + g.G22F[i]*u2*u2
+		if v := math.Sqrt(v2); v > vmax {
+			vmax = v
+		}
+		if phi > pmax {
+			pmax = phi
 		}
 	}
 	speed := vmax + math.Sqrt(math.Max(pmax, 0))
@@ -336,25 +301,18 @@ func (sw *ShallowWater) MaxStableDt(cfl float64) float64 {
 
 // TotalMass returns the integral of Phi over the sphere (conserved by the
 // continuous equations).
-func (sw *ShallowWater) TotalMass() float64 { return sw.G.Integrate(sw.Phi) }
+func (sw *ShallowWater) TotalMass() float64 { return sw.G.integrate(sw.phiF) }
 
 // PhiL2Error returns the relative L2 error of Phi against a reference
 // function of position.
 func (sw *ShallowWater) PhiL2Error(ref func(p mesh.Vec3) float64) float64 {
 	g := sw.G
 	var num, den float64
-	np := g.Np
-	for e := 0; e < g.NumElems(); e++ {
-		for b := 0; b < np; b++ {
-			for a := 0; a < np; a++ {
-				i := b*np + a
-				w := g.MassWeight(e, a, b)
-				r := ref(g.Pos[e][i])
-				d := sw.Phi[e][i] - r
-				num += w * d * d
-				den += w * r * r
-			}
-		}
+	for i, w := range g.MassF {
+		r := ref(g.PosF[i])
+		d := sw.phiF[i] - r
+		num += w * d * d
+		den += w * r * r
 	}
 	return math.Sqrt(num / den)
 }
