@@ -233,6 +233,10 @@ func faceFrame(f mesh.Face) struct{ c, u, v [3]int } {
 // argsorted. The finest curve uses the base mesh's schedule extended by one
 // Hilbert level per refinement level, so descendants of any cell are
 // contiguous and the resulting leaf order is itself a space-filling order.
+//
+// Order materialises the whole finest mesh. It is the brute-force reference
+// that TestCurveOrderMatchesFineMeshOrder and FuzzForestOrder pin CurveOrder
+// against; program code orders leaves with CurveOrder.
 func (f *Forest) Order(order sfc.Order) ([]int, error) {
 	ne := f.base.Ne()
 	baseSched, err := sfc.ScheduleFor(ne, order)

@@ -123,46 +123,14 @@ func (f *Forest) LeafWeights(spec weights.Spec) []int64 {
 // contiguous segments of near-equal total weight and returns the
 // leaf-to-part assignment. weights may be nil for uniform leaf cost
 // (indexed by leaf, e.g. from LeafWeights); invalid weights fail with the
-// typed errors of partition.ValidateWeights. This is the adaptive-mesh
-// analogue of core.PartitionCurve: hanging nodes need no special casing
-// because the curve order already interleaves refined children within their
-// parent's rank interval.
+// typed errors of partition.ValidateWeights. This is core.PartitionCurve
+// with CurveOrder as the visit order -- both cut with partition.SplitCurve
+// -- and hanging nodes need no special casing because the curve order
+// already interleaves refined children within their parent's rank interval.
 func (f *Forest) PartitionCurve(order sfc.Order, nparts int, w []int64) (*partition.Partition, error) {
-	n := f.NumLeaves()
-	if nparts < 1 || nparts > n {
-		return nil, fmt.Errorf("amr: nparts=%d out of range [1,%d]", nparts, n)
-	}
 	idx, err := f.CurveOrder(order)
 	if err != nil {
 		return nil, err
 	}
-	cw := make([]int64, n)
-	if w == nil {
-		for i := range cw {
-			cw[i] = 1
-		}
-	} else {
-		if len(w) != n {
-			return nil, fmt.Errorf("amr: %d weights for %d leaves", len(w), n)
-		}
-		if err := partition.ValidateWeights(w); err != nil {
-			return nil, err
-		}
-		par.ForChunks(n, 1<<14, func(lo, hi int) {
-			for rank := lo; rank < hi; rank++ {
-				cw[rank] = w[idx[rank]]
-			}
-		})
-	}
-	segAssign, err := partition.SplitContiguous(cw, nparts)
-	if err != nil {
-		return nil, err
-	}
-	assign := make([]int32, n)
-	par.ForChunks(n, 1<<14, func(lo, hi int) {
-		for rank := lo; rank < hi; rank++ {
-			assign[idx[rank]] = segAssign[rank]
-		}
-	})
-	return partition.FromAssignment(assign, nparts)
+	return partition.SplitCurve(idx, nparts, w)
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"sfccube/internal/mesh"
-	"sfccube/internal/par"
 	"sfccube/internal/partition"
 	"sfccube/internal/sfc"
 )
@@ -80,53 +79,10 @@ func PartitionCubedSphere(cfg Config) (*Result, error) {
 // indexed by mesh.ElemID. Zero weights mark inactive elements and are
 // allowed; a negative weight fails with *partition.WeightError and an
 // all-zero vector with *partition.ZeroTotalWeightError (both reported in
-// element-id space, before the curve permutation), never a degenerate split.
-//
-// The weight permutation into curve order and the scatter back to element
-// ids are pure gather/scatter loops over the curve bijection and fan out
-// across goroutines; the cut points themselves come from the sequential
-// greedy walk inside SplitContiguous, so the assignment is byte-identical
-// at any GOMAXPROCS.
+// element-id space), never a degenerate split. The cut itself is
+// partition.SplitCurve over the curve's visit order.
 func PartitionCurve(curve *sfc.CubeCurve, nprocs int, weights []int64) (*partition.Partition, error) {
-	k := curve.Len()
-	if nprocs < 1 || nprocs > k {
-		return nil, fmt.Errorf("core: NProcs=%d out of range [1,%d]", nprocs, k)
-	}
-	// Permute weights into curve order.
-	w := make([]int64, k)
-	if weights == nil {
-		for i := range w {
-			w[i] = 1
-		}
-	} else {
-		if len(weights) != k {
-			return nil, fmt.Errorf("core: %d weights for %d elements", len(weights), k)
-		}
-		// Validate in element-id space so a typed error points at the
-		// element, not its curve rank (SplitContiguous would re-discover the
-		// problem, but only after the permutation scrambles the index).
-		if err := partition.ValidateWeights(weights); err != nil {
-			return nil, err
-		}
-		par.ForChunks(k, 1<<15, func(lo, hi int) {
-			for rank := lo; rank < hi; rank++ {
-				w[rank] = weights[curve.At(rank)]
-			}
-		})
-	}
-	segAssign, err := partition.SplitContiguous(w, nprocs)
-	if err != nil {
-		return nil, err
-	}
-	// Scatter back from curve order to element ids; the curve is a
-	// bijection, so writes are disjoint.
-	assign := make([]int32, k)
-	par.ForChunks(k, 1<<15, func(lo, hi int) {
-		for rank := lo; rank < hi; rank++ {
-			assign[curve.At(rank)] = segAssign[rank]
-		}
-	})
-	return partition.FromAssignment(assign, nprocs)
+	return partition.SplitCurve(curve.Order(), nprocs, weights)
 }
 
 // EqualProcCounts returns the processor counts in [1, K] that divide the

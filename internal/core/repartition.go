@@ -45,9 +45,9 @@ func MigrationBetween(old, new *partition.Partition, bytesPerElem int64) (Migrat
 
 // Repartitioner supports incremental repartitioning of a fixed cubed-sphere
 // mesh as element weights evolve (e.g. convection or chemistry cost
-// following the weather): the curve is built once and every update is a
-// single SplitContiguous pass, so successive partitions shift segment
-// boundaries instead of reshuffling elements.
+// following the weather): the curve is built once and every update is one
+// PartitionCurve cut, so successive partitions shift segment boundaries
+// instead of reshuffling elements.
 type Repartitioner struct {
 	curve *sfc.CubeCurve
 	last  *partition.Partition
@@ -134,20 +134,19 @@ func (r *Repartitioner) Update(nprocs int, weights []int64, bytesPerElem int64) 
 // prev, greedily assigning each (newPart, oldPart) pair in decreasing
 // overlap order.
 func remapToPrevious(prev, cur *partition.Partition) {
-	relabel := OverlapRelabel(prev.Assignment(), cur.Assignment(), cur.NumParts())
+	relabel := overlapRelabel(prev.Assignment(), cur.Assignment(), cur.NumParts())
 	for v := 0; v < cur.NumVertices(); v++ {
 		cur.SetPart(v, int(relabel[cur.Part(v)]))
 	}
 }
 
-// OverlapRelabel computes a part-label permutation for cur that maximises
+// overlapRelabel computes a part-label permutation for cur that maximises
 // (greedily, in decreasing overlap order with deterministic tie-breaks by
 // part ids) the number of positions keeping their previous owner: entry q
 // of the returned table is the label the old partition used for the
 // elements cur calls q. Both assignments must have the same length and
-// labels in [0, nparts). Shared by the element-grid repartitioner here and
-// the AMR fine-grid repartitioner (package amr).
-func OverlapRelabel(prev, cur []int32, nparts int) []int32 {
+// labels in [0, nparts).
+func overlapRelabel(prev, cur []int32, nparts int) []int32 {
 	type pair struct{ newP, oldP int32 }
 	overlap := make(map[pair]int)
 	for v := range cur {

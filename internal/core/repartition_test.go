@@ -337,7 +337,7 @@ func TestOverlapRelabelIsPermutation(t *testing.T) {
 		{[]int32{1, 1, 1, 1}, []int32{0, 1, 2, 3}, 4},
 	}
 	for ci, tc := range cases {
-		table := OverlapRelabel(tc.prev, tc.cur, tc.nparts)
+		table := overlapRelabel(tc.prev, tc.cur, tc.nparts)
 		seen := make([]bool, tc.nparts)
 		for _, q := range table {
 			if q < 0 || int(q) >= tc.nparts {

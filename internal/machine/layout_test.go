@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"sfccube/internal/core"
@@ -17,57 +18,36 @@ func TestNodeLayoutUniform(t *testing.T) {
 	}
 }
 
-func TestNodeLayoutHeterogeneous(t *testing.T) {
-	mod := Model{ProcsPerNode: 8, NodeWidths: []int{2, 4}}
-	nodeOf, n := NodeLayout(10, mod)
-	// 2 on node 0, 4 on node 1, then cycle: 2 on node 2, 2 (partial) on node 3.
-	want := []int{0, 0, 1, 1, 1, 1, 2, 2, 3, 3}
-	if n != 4 {
-		t.Errorf("numNodes = %d, want 4", n)
-	}
-	for i, w := range want {
-		if nodeOf[i] != w {
-			t.Errorf("proc %d on node %d, want %d", i, nodeOf[i], w)
-			break
-		}
-	}
-}
-
-func TestNCARP690Heterogeneous(t *testing.T) {
-	mod := NCARP690Heterogeneous()
-	nodeOf, _ := NodeLayout(1024, mod)
-	// First 736 processors on the 92 8-way nodes, rest on 32-way nodes.
-	if nodeOf[735] != 91 {
-		t.Errorf("proc 735 on node %d, want 91", nodeOf[735])
-	}
-	if nodeOf[736] != 92 || nodeOf[767] != 92 {
-		t.Errorf("procs 736..767 should share 32-way node 92: %d, %d", nodeOf[736], nodeOf[767])
-	}
-}
-
-// Wider nodes keep more communication on-node, so a partition with curve
-// locality gets cheaper communication under the heterogeneous layout's
-// 32-way region.
-func TestHeterogeneousModelRuns(t *testing.T) {
-	res, err := core.PartitionCubedSphere(core.Config{Ne: 16, NProcs: 768})
-	if err != nil {
-		t.Fatal(err)
-	}
+// SimulateStep must be a pure function of its inputs: the per-pair message
+// costs are summed in StepMessages' (from, to) order, so every call yields
+// the same CommTime and StepTime bits (a map-order sum would not).
+func TestSimulateStepBitwiseRepeatable(t *testing.T) {
 	w := DefaultWorkload()
-	uni, err := SimulateStep(res.Mesh, res.Partition, w, NCARP690(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	het, err := SimulateStep(res.Mesh, res.Partition, w, NCARP690Heterogeneous(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if het.StepTime <= 0 || uni.StepTime <= 0 {
-		t.Fatal("non-positive step times")
-	}
-	// Identical compute; both must report the same flops and bytes.
-	if het.TotalFlops != uni.TotalFlops || het.TotalCommBytes != uni.TotalCommBytes {
-		t.Error("layout changed accounting totals")
+	mod := NCARP690()
+	for _, c := range []struct{ ne, nproc int }{{16, 768}, {8, 96}} {
+		res, err := core.PartitionCubedSphere(core.Config{Ne: c.ne, NProcs: c.nproc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := SimulateStep(res.Mesh, res.Partition, w, mod, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 20; rep++ {
+			got, err := SimulateStep(res.Mesh, res.Partition, w, mod, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.StepTime) != math.Float64bits(first.StepTime) {
+				t.Fatalf("Ne=%d/%d call %d: StepTime %v != first %v", c.ne, c.nproc, rep, got.StepTime, first.StepTime)
+			}
+			for q := range got.CommTime {
+				if math.Float64bits(got.CommTime[q]) != math.Float64bits(first.CommTime[q]) {
+					t.Fatalf("Ne=%d/%d call %d: CommTime[%d] %v != first %v",
+						c.ne, c.nproc, rep, q, got.CommTime[q], first.CommTime[q])
+				}
+			}
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ package machine
 
 import (
 	"fmt"
+	"sort"
 
 	"sfccube/internal/mesh"
 	"sfccube/internal/partition"
@@ -45,11 +46,6 @@ type Model struct {
 	// locality (keeping neighbours on the same node) pay off even when
 	// load balance and edgecut are equal. Zero disables the effect.
 	NodeAdapterBeta float64
-	// NodeWidths, when non-nil, lays processors out over nodes of the
-	// given widths in order (cycling if processors remain), overriding the
-	// uniform ProcsPerNode. The NCAR system mixed ninety-two 8-way nodes
-	// with nine 32-way nodes; NCARP690Heterogeneous models that layout.
-	NodeWidths []int
 	// Overlap is the fraction of communication time hidden behind
 	// computation (non-blocking exchanges progressing during the element
 	// loop): per-processor time is comp + max(0, comm - Overlap*comp).
@@ -70,22 +66,6 @@ func NCARP690() Model {
 		ProcsPerNode:    8,
 		NodeAdapterBeta: 1.0 / 400e6,
 	}
-}
-
-// NCARP690Heterogeneous is NCARP690 with the machine's actual node mix:
-// ninety-two 8-way nodes followed by nine 32-way nodes (1024 processors in
-// total, 768 available to one job).
-func NCARP690Heterogeneous() Model {
-	m := NCARP690()
-	widths := make([]int, 0, 101)
-	for i := 0; i < 92; i++ {
-		widths = append(widths, 8)
-	}
-	for i := 0; i < 9; i++ {
-		widths = append(widths, 32)
-	}
-	m.NodeWidths = widths
-	return m
 }
 
 // PeakFlopsPerProc is the Power-4 peak rate (flops/s): 1.3 GHz x 4
@@ -187,45 +167,27 @@ func SimulateStep(m *mesh.Mesh, p *partition.Partition, w Workload, mod Model, w
 		rep.ComputeTime[p.Part(e)] += f / mod.FlopsPerProc
 		rep.TotalFlops += int64(f)
 	}
-	// Message volume per ordered processor pair.
-	type pair struct{ from, to int32 }
-	vol := make(map[pair]int64)
-	for e := 0; e < k; e++ {
-		pe := int32(p.Part(e))
-		id := mesh.ElemID(e)
-		for _, nb := range m.EdgeNeighbors(id) {
-			pn := int32(p.Part(int(nb)))
-			if pn != pe {
-				vol[pair{pe, pn}] += w.BytesPerEdge
-			}
-		}
-		for _, nb := range m.CornerNeighbors(id) {
-			pn := int32(p.Part(int(nb)))
-			if pn != pe {
-				vol[pair{pe, pn}] += w.BytesPerCorner
-			}
-		}
-	}
+	// Sum the per-pair messages in StepMessages' (from, to) order, so the
+	// float accumulation into CommTime is the same on every call.
 	nodeOf, numNodes := NodeLayout(nproc, mod)
-	node := func(proc int32) int { return nodeOf[proc] }
 	offNode := make([]int64, numNodes)
-	for pr, bytes := range vol {
+	for _, msg := range StepMessages(m, p, w) {
 		alpha, beta := mod.AlphaRemote, mod.BetaRemote
-		if node(pr.from) == node(pr.to) {
+		if nodeOf[msg.From] == nodeOf[msg.To] {
 			alpha, beta = mod.AlphaLocal, mod.BetaLocal
 		} else {
-			offNode[node(pr.from)] += bytes
+			offNode[nodeOf[msg.From]] += msg.Bytes
 		}
-		rep.CommTime[pr.from] += alpha + float64(bytes)*beta
-		rep.CommBytes[pr.from] += bytes
-		rep.Messages[pr.from]++
-		rep.TotalCommBytes += bytes
+		rep.CommTime[msg.From] += alpha + float64(msg.Bytes)*beta
+		rep.CommBytes[msg.From] += msg.Bytes
+		rep.Messages[msg.From]++
+		rep.TotalCommBytes += msg.Bytes
 	}
 	// Shared node adapter: every processor on a node pays for the node's
 	// aggregate off-node traffic.
 	if mod.NodeAdapterBeta > 0 {
 		for q := 0; q < nproc; q++ {
-			rep.CommTime[q] += float64(offNode[node(int32(q))]) * mod.NodeAdapterBeta
+			rep.CommTime[q] += float64(offNode[nodeOf[q]]) * mod.NodeAdapterBeta
 		}
 	}
 	for q := 0; q < nproc; q++ {
@@ -240,27 +202,56 @@ func SimulateStep(m *mesh.Mesh, p *partition.Partition, w Workload, mod Model, w
 	return rep, nil
 }
 
-// NodeLayout maps each processor to its SMP node index under the model's
-// node configuration (uniform ProcsPerNode or explicit NodeWidths).
+// NodeLayout maps each processor to its SMP node index: processor q lives
+// on node q / ProcsPerNode.
 func NodeLayout(nproc int, mod Model) (nodeOf []int, numNodes int) {
 	nodeOf = make([]int, nproc)
-	if len(mod.NodeWidths) == 0 {
-		for q := 0; q < nproc; q++ {
-			nodeOf[q] = q / mod.ProcsPerNode
-		}
-		return nodeOf, (nproc + mod.ProcsPerNode - 1) / mod.ProcsPerNode
+	for q := range nodeOf {
+		nodeOf[q] = q / mod.ProcsPerNode
 	}
-	q, node, wi := 0, 0, 0
-	for q < nproc {
-		w := mod.NodeWidths[wi%len(mod.NodeWidths)]
-		for i := 0; i < w && q < nproc; i++ {
-			nodeOf[q] = node
-			q++
+	return nodeOf, (nproc + mod.ProcsPerNode - 1) / mod.ProcsPerNode
+}
+
+// Message is one point-to-point exchange of a time step: everything
+// processor From sends processor To.
+type Message struct {
+	From, To int
+	Bytes    int64
+}
+
+// StepMessages derives the per-step message list of a partitioned
+// cubed-sphere from the mesh adjacency and workload, aggregating all
+// element boundaries between each ordered processor pair into one message
+// (the SEAM exchange packs per-neighbour buffers). The list is sorted by
+// (From, To).
+func StepMessages(m *mesh.Mesh, p *partition.Partition, w Workload) []Message {
+	type pair struct{ from, to int32 }
+	vol := map[pair]int64{}
+	for e := 0; e < m.NumElems(); e++ {
+		pe := int32(p.Part(e))
+		id := mesh.ElemID(e)
+		for _, nb := range m.EdgeNeighbors(id) {
+			if pn := int32(p.Part(int(nb))); pn != pe {
+				vol[pair{pe, pn}] += w.BytesPerEdge
+			}
 		}
-		node++
-		wi++
+		for _, nb := range m.CornerNeighbors(id) {
+			if pn := int32(p.Part(int(nb))); pn != pe {
+				vol[pair{pe, pn}] += w.BytesPerCorner
+			}
+		}
 	}
-	return nodeOf, node
+	msgs := make([]Message, 0, len(vol))
+	for pr, b := range vol {
+		msgs = append(msgs, Message{From: int(pr.from), To: int(pr.to), Bytes: b})
+	}
+	sort.Slice(msgs, func(i, j int) bool {
+		if msgs[i].From != msgs[j].From {
+			return msgs[i].From < msgs[j].From
+		}
+		return msgs[i].To < msgs[j].To
+	})
+	return msgs
 }
 
 // Speedup returns T(1)/T(p) where T(1) is the serial step time of the same

@@ -230,6 +230,61 @@ func SplitContiguous(weights []int64, nparts int) ([]int32, error) {
 	return assign, nil
 }
 
+// SplitCurve cuts a visit order into nparts contiguous segments of
+// near-equal total weight and returns the item-to-part assignment: order[r]
+// is the item at curve position r and must range over a permutation of
+// 0..len(order)-1. This is the one curve cut behind every SFC partition,
+// the cubed-sphere element curve (core.PartitionCurve) and the adaptive
+// leaf curve (amr.Forest.PartitionCurve) alike.
+//
+// weights may be nil for uniform cost; otherwise it is indexed by item and
+// validated in item space, before the permutation into curve order, so a
+// *WeightError points at the item, not its curve rank (SplitContiguous would
+// re-discover the problem, but only after the permutation scrambles the
+// index). Zero weights are allowed; an all-zero vector fails with
+// *ZeroTotalWeightError, never a degenerate split.
+//
+// The weight permutation and the scatter back to item ids are pure
+// gather/scatter loops over the bijection and fan out across goroutines;
+// the cut points come from the sequential walk inside SplitContiguous, so
+// the assignment is byte-identical at any GOMAXPROCS.
+func SplitCurve[E ~int](order []E, nparts int, weights []int64) (*Partition, error) {
+	n := len(order)
+	if nparts < 1 || nparts > n {
+		return nil, fmt.Errorf("partition: nparts=%d out of range [1,%d]", nparts, n)
+	}
+	w := make([]int64, n)
+	if weights == nil {
+		for i := range w {
+			w[i] = 1
+		}
+	} else {
+		if len(weights) != n {
+			return nil, fmt.Errorf("partition: %d weights for %d curve items", len(weights), n)
+		}
+		if err := ValidateWeights(weights); err != nil {
+			return nil, err
+		}
+		par.ForChunks(n, splitFillChunk, func(lo, hi int) {
+			for rank := lo; rank < hi; rank++ {
+				w[rank] = weights[order[rank]]
+			}
+		})
+	}
+	segAssign, err := SplitContiguous(w, nparts)
+	if err != nil {
+		return nil, err
+	}
+	// The order is a bijection, so the scatter's writes are disjoint.
+	assign := make([]int32, n)
+	par.ForChunks(n, splitFillChunk, func(lo, hi int) {
+		for rank := lo; rank < hi; rank++ {
+			assign[order[rank]] = segAssign[rank]
+		}
+	})
+	return FromAssignment(assign, nparts)
+}
+
 // splitFillChunk is the minimum chunk size for parallel assignment fills;
 // below this the loop is memory-bandwidth trivial and goroutines cost more
 // than they save.

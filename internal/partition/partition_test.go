@@ -421,3 +421,69 @@ func mustMesh(tb testing.TB, ne int) *mesh.Mesh {
 	}
 	return m
 }
+
+// SplitCurve is SplitContiguous in curve order scattered back to item ids,
+// for any ~int order type, with weight errors reported at the item.
+func TestSplitCurve(t *testing.T) {
+	const n, nparts = 50, 7
+	order := make([]mesh.ElemID, n) // a non-identity bijection
+	for r := range order {
+		order[r] = mesh.ElemID((r*7 + 3) % n)
+	}
+	w := make([]int64, n)
+	for v := range w {
+		w[v] = int64(1 + v%5)
+	}
+	for _, weights := range [][]int64{nil, w} {
+		p, err := SplitCurve(order, nparts, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw := make([]int64, n)
+		for r, v := range order {
+			cw[r] = 1
+			if weights != nil {
+				cw[r] = weights[v]
+			}
+		}
+		want, err := SplitContiguous(cw, nparts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range order {
+			if p.Part(int(v)) != int(want[r]) {
+				t.Fatalf("weighted=%v: item %d at rank %d in part %d, want %d",
+					weights != nil, v, r, p.Part(int(v)), want[r])
+			}
+		}
+	}
+	ints := make([]int, n)
+	for r, v := range order {
+		ints[r] = int(v)
+	}
+	pi, err := SplitCurve(ints, nparts, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, _ := SplitCurve(order, nparts, w)
+	for v := 0; v < n; v++ {
+		if pi.Part(v) != pe.Part(v) {
+			t.Fatalf("[]int and []mesh.ElemID orders disagree at item %d", v)
+		}
+	}
+
+	bad := append([]int64(nil), w...)
+	bad[13] = -4
+	var we *WeightError
+	if _, err := SplitCurve(order, nparts, bad); !errors.As(err, &we) || we.Index != 13 {
+		t.Errorf("negative weight: got %v, want *WeightError at item 13", err)
+	}
+	if _, err := SplitCurve(order, nparts, w[:n-1]); err == nil {
+		t.Error("short weight vector accepted")
+	}
+	for _, np := range []int{0, n + 1} {
+		if _, err := SplitCurve(order, np, nil); err == nil {
+			t.Errorf("nparts=%d accepted", np)
+		}
+	}
+}

@@ -106,30 +106,24 @@ const (
 // FallbackSpec configures PartitionWithFallback.
 //
 // Build specs with NewFallbackSpec: it fills Seed, MaxLB and SeedRetries with
-// the Default* constants and marks the spec explicit, after which every field
-// is taken at face value — so SeedRetries = 0 (no reseeded retries),
-// MaxLB = 0 (strict perfect-balance gate) and Seed = 0 are all expressible.
-//
-// A spec built as a plain struct literal keeps the legacy zero-means-default
-// reading of those three fields (0 → DefaultSeedRetries/DefaultMaxLB/
-// DefaultSeed), so existing callers are unaffected; such specs cannot
-// express the zero values above.
+// the Default* constants. Every field is taken at face value, so
+// SeedRetries = 0 (no reseeded retries), MaxLB = 0 (strict perfect-balance
+// gate) and Seed = 0 are all expressible.
 type FallbackSpec struct {
 	Ne     int
 	NProcs int
 	// Seed seeds the METIS-style strategies; reseeded retries derive fresh
-	// seeds from it. In a literal spec, zero means DefaultSeed.
+	// seeds from it.
 	Seed int64
 	// Chain overrides DefaultChain.
 	Chain []Strategy
 	// MaxLB is the accepted LB(nelemd) (equation (1) of the paper; 0 is
-	// perfect balance). Negative means "accept anything". In an explicit
-	// spec zero is the strict perfect-balance gate; in a literal spec zero
-	// means DefaultMaxLB.
+	// perfect balance). Negative means "accept anything"; zero is the
+	// strict perfect-balance gate.
 	MaxLB float64
 	// SeedRetries is how many reseeded retries each METIS strategy gets
-	// after a balance violation before the chain moves on. In a literal
-	// spec, zero means DefaultSeedRetries; negative is clamped to zero.
+	// after a balance violation before the chain moves on. Negative is
+	// clamped to zero.
 	SeedRetries int
 	// Backoff is the base wait between reseeded retries (honouring ctx).
 	// The actual waits carry decorrelated jitter drawn from a stream
@@ -152,13 +146,9 @@ type FallbackSpec struct {
 	// weighted balance. Nil means uniform cost. Negative or all-zero
 	// weights fail the chain with the partition layer's typed errors.
 	Weights []int64
-
-	// explicit marks a spec produced by NewFallbackSpec: its Seed, MaxLB
-	// and SeedRetries are deliberate values, never rewritten.
-	explicit bool
 }
 
-// NewFallbackSpec returns an explicit spec for splitting the Ne cubed-sphere
+// NewFallbackSpec returns a spec for splitting the Ne cubed-sphere
 // mesh into nprocs parts, with Seed, MaxLB and SeedRetries set to the
 // Default* constants. Overwrite any field afterwards and it is honoured
 // exactly as written:
@@ -173,7 +163,6 @@ func NewFallbackSpec(ne, nprocs int) FallbackSpec {
 		Seed:        DefaultSeed,
 		MaxLB:       DefaultMaxLB,
 		SeedRetries: DefaultSeedRetries,
-		explicit:    true,
 	}
 }
 
@@ -233,23 +222,7 @@ func PartitionWithFallback(ctx context.Context, spec FallbackSpec) (*FallbackRes
 	if chain == nil {
 		chain = DefaultChain
 	}
-	maxLB, retries, seed := spec.MaxLB, spec.SeedRetries, spec.Seed
-	if !spec.explicit {
-		// Legacy struct-literal spec: zero values mean "unset". Specs from
-		// NewFallbackSpec skip this and take every field at face value.
-		if maxLB == 0 {
-			maxLB = DefaultMaxLB
-		}
-		if retries == 0 {
-			retries = DefaultSeedRetries
-		}
-		if seed == 0 {
-			seed = DefaultSeed
-		}
-	}
-	if retries < 0 {
-		retries = 0
-	}
+	seed, retries := spec.Seed, max(spec.SeedRetries, 0)
 	// One jitter stream per chain walk: every reseeded retry, whichever
 	// strategy it belongs to, consumes the next draw, so the full sleep
 	// sequence is a pure function of (Seed, Backoff).
@@ -258,7 +231,7 @@ func PartitionWithFallback(ctx context.Context, spec FallbackSpec) (*FallbackRes
 	var attempts []Attempt
 	accept := func(strat Strategy, s int64, p *partition.Partition, err error) *FallbackResult {
 		if err == nil {
-			err = checkBalance(strat, p, maxLB, spec.Weights)
+			err = checkBalance(strat, p, spec.MaxLB, spec.Weights)
 		}
 		if err == nil {
 			return &FallbackResult{Partition: p, Strategy: strat, Seed: s, Attempts: attempts}

@@ -166,11 +166,12 @@ type Config struct {
 	// carries none; 0 means unbounded.
 	DefaultDeadline time.Duration
 	// LargeNe is the threshold at or above which a request enters the
-	// large-problem regime: the mesh keeps its adjacency deferred (O(Ne)
-	// index instead of O(Ne^2) neighbour tables), "auto" resolves to the
-	// SFC-first chain (linear-time cuts instead of multilevel refinement)
-	// and LargeDeadline applies. Default 256 (393k elements); negative
-	// disables the regime entirely.
+	// large-problem regime: "auto" resolves to the SFC-first chain
+	// (linear-time cuts instead of multilevel refinement) and LargeDeadline
+	// applies. Default 256 (393k elements); negative disables the regime
+	// entirely. It does not decide whether the mesh defers its neighbour
+	// tables: every request builds its mesh with mesh.NewAuto, which defers
+	// at mesh.DeferAdjacencyThreshold (Ne >= 148) whatever LargeNe is.
 	LargeNe int
 	// LargeDeadline is the compute budget for large-regime requests that
 	// carry none; 0 falls back to DefaultDeadline.
@@ -268,7 +269,7 @@ func NewService(cfg Config) *Service {
 	reg.Help("partsrv_singleflight_shared_total", "Requests that joined another caller's in-flight computation.")
 	reg.Help("partsrv_degraded_total", "Responses produced under deadline pressure (fallback past the requested method).")
 	reg.Help("partsrv_failures_total", "Requests that failed after validation (exhausted chains, internal errors).")
-	reg.Help("partsrv_large_total", "Computations routed through the large-problem regime (deferred mesh, SFC-first auto chain).")
+	reg.Help("partsrv_large_total", "Computations routed through the large-problem regime (SFC-first auto chain, large deadline).")
 	reg.Help("partsrv_compute_ns", "Wall time of executed partition computations.")
 	reg.Help("partsrv_cache_bytes", "Current response-cache payload size.")
 	reg.Help("partsrv_cache_entries", "Current response-cache entry count.")
@@ -461,10 +462,12 @@ func (s *Service) isLarge(ne int) bool { return s.cfg.LargeNe > 0 && ne >= s.cfg
 // deadlineMS < 0 starts with the budget already spent — the degradation
 // ladder's fast path.
 //
-// Requests at or above Config.LargeNe take the large-problem path: the mesh
-// defers its neighbour tables (the SFC strategies never read them, and the
-// graph build streams rows on the fly), "auto" starts at SFC instead of the
-// multilevel methods, and LargeDeadline bounds the work. The routing depends
+// Requests at or above Config.LargeNe take the large-problem path: "auto"
+// starts at SFC instead of the multilevel methods, and LargeDeadline bounds
+// the work. The mesh comes from mesh.NewAuto for every request, so it defers
+// its neighbour tables from mesh.DeferAdjacencyThreshold on (the SFC
+// strategies never read them, and the graph build streams rows on the fly)
+// independently of LargeNe. The routing depends
 // only on (Ne, server config), so cached answers stay deterministic; it is
 // not deadline degradation and does not mark the response Degraded.
 func (s *Service) compute(ctx context.Context, canon canonicalRequest, key string, deadlineMS int64) (computed, error) {

@@ -5,15 +5,17 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"sfccube/internal/machine"
 )
 
 // manyMessages builds a message list large enough that the event loop is
 // guaranteed to hit a cancellation poll (the loop polls every 4096 events;
 // each message schedules three).
-func manyMessages(n int) []Message {
-	msgs := make([]Message, n)
+func manyMessages(n int) []machine.Message {
+	msgs := make([]machine.Message, n)
 	for i := range msgs {
-		msgs[i] = Message{From: i % 2, To: 2 + i%2, Bytes: 100}
+		msgs[i] = machine.Message{From: i % 2, To: 2 + i%2, Bytes: 100}
 	}
 	return msgs
 }

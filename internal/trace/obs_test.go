@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sfccube/internal/machine"
 	"sfccube/internal/obs"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestSimulateObsMetersAndDoesNotPerturb(t *testing.T) {
 	mod := simpleModel()
 	compute := []float64{1, 2, 3, 4}
-	msgs := []Message{
+	msgs := []machine.Message{
 		{From: 0, To: 1, Bytes: 1024}, {From: 1, To: 2, Bytes: 2048},
 		{From: 2, To: 3, Bytes: 512}, {From: 3, To: 0, Bytes: 4096},
 	}

@@ -28,12 +28,6 @@ import (
 	"sfccube/internal/partition"
 )
 
-// Message is one point-to-point exchange of a time step.
-type Message struct {
-	From, To int
-	Bytes    int64
-}
-
 // Result is the outcome of the event-driven simulation.
 type Result struct {
 	// Finish[p] is the time processor p completed the step.
@@ -86,7 +80,7 @@ func (q *eventQueue) pop() event   { return heap.Pop(q).(event) }
 // Simulate runs the event-driven model for one step: computeTime[p] is each
 // processor's element work, msgs are the exchanges, mod supplies latency,
 // adapter bandwidth and node layout. It is SimulateCtx without a deadline.
-func Simulate(computeTime []float64, msgs []Message, mod machine.Model) (Result, error) {
+func Simulate(computeTime []float64, msgs []machine.Message, mod machine.Model) (Result, error) {
 	return SimulateCtx(context.Background(), computeTime, msgs, mod)
 }
 
@@ -95,7 +89,7 @@ func Simulate(computeTime []float64, msgs []Message, mod machine.Model) (Result,
 // and on expiry returns an error wrapping ctx.Err(). An un-cancelled
 // SimulateCtx is identical to Simulate — the polls do not perturb the
 // deterministic event order.
-func SimulateCtx(ctx context.Context, computeTime []float64, msgs []Message, mod machine.Model) (Result, error) {
+func SimulateCtx(ctx context.Context, computeTime []float64, msgs []machine.Message, mod machine.Model) (Result, error) {
 	return SimulateObs(ctx, computeTime, msgs, mod, nil)
 }
 
@@ -129,7 +123,7 @@ func newSimMetrics(reg *obs.Registry) *simMetrics {
 // under trace_sim_* (the queue-depth high-water mark is also returned in
 // Result.MaxQueueDepth either way). Metering never perturbs the simulated
 // schedule: observation happens outside the event ordering.
-func SimulateObs(ctx context.Context, computeTime []float64, msgs []Message, mod machine.Model, reg *obs.Registry) (Result, error) {
+func SimulateObs(ctx context.Context, computeTime []float64, msgs []machine.Message, mod machine.Model, reg *obs.Registry) (Result, error) {
 	nproc := len(computeTime)
 	if mod.ProcsPerNode < 1 {
 		return Result{}, fmt.Errorf("trace: ProcsPerNode must be >= 1")
@@ -297,40 +291,6 @@ func SimulateObs(ctx context.Context, computeTime []float64, msgs []Message, mod
 	return res, nil
 }
 
-// StepMessages derives the per-step message list of a partitioned
-// cubed-sphere from the mesh adjacency and workload, aggregating all
-// element boundaries between each ordered processor pair into one message
-// (the SEAM exchange packs per-neighbour buffers).
-func StepMessages(m *mesh.Mesh, p *partition.Partition, w machine.Workload) []Message {
-	type pair struct{ from, to int32 }
-	vol := map[pair]int64{}
-	for e := 0; e < m.NumElems(); e++ {
-		pe := int32(p.Part(e))
-		id := mesh.ElemID(e)
-		for _, nb := range m.EdgeNeighbors(id) {
-			if pn := int32(p.Part(int(nb))); pn != pe {
-				vol[pair{pe, pn}] += w.BytesPerEdge
-			}
-		}
-		for _, nb := range m.CornerNeighbors(id) {
-			if pn := int32(p.Part(int(nb))); pn != pe {
-				vol[pair{pe, pn}] += w.BytesPerCorner
-			}
-		}
-	}
-	msgs := make([]Message, 0, len(vol))
-	for pr, b := range vol {
-		msgs = append(msgs, Message{From: int(pr.from), To: int(pr.to), Bytes: b})
-	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].From != msgs[j].From {
-			return msgs[i].From < msgs[j].From
-		}
-		return msgs[i].To < msgs[j].To
-	})
-	return msgs
-}
-
 // SimulateStep runs the event-driven model for one step of the workload on
 // the partitioned mesh, computing per-processor work from the partition.
 func SimulateStep(m *mesh.Mesh, p *partition.Partition, w machine.Workload, mod machine.Model) (Result, error) {
@@ -339,5 +299,5 @@ func SimulateStep(m *mesh.Mesh, p *partition.Partition, w machine.Workload, mod 
 	for e := 0; e < m.NumElems(); e++ {
 		compute[p.Part(e)] += float64(w.FlopsPerElem) / mod.FlopsPerProc
 	}
-	return Simulate(compute, StepMessages(m, p, w), mod)
+	return Simulate(compute, machine.StepMessages(m, p, w), mod)
 }

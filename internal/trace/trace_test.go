@@ -45,7 +45,7 @@ func TestSimulateNoMessages(t *testing.T) {
 func TestSimulateSingleRemoteMessage(t *testing.T) {
 	mod := simpleModel()
 	// Procs 0 and 2 are on different 2-wide nodes.
-	msgs := []Message{{From: 0, To: 2, Bytes: 1000}}
+	msgs := []machine.Message{{From: 0, To: 2, Bytes: 1000}}
 	res, err := Simulate([]float64{1.0, 0, 0}, msgs, mod)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestSimulateSingleRemoteMessage(t *testing.T) {
 
 func TestSimulateIntraNodeMessageSkipsAdapter(t *testing.T) {
 	mod := simpleModel()
-	msgs := []Message{{From: 0, To: 1, Bytes: 1000}} // same node
+	msgs := []machine.Message{{From: 0, To: 1, Bytes: 1000}} // same node
 	res, err := Simulate([]float64{1.0, 0}, msgs, mod)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestSimulateIntraNodeMessageSkipsAdapter(t *testing.T) {
 // through the shared adapter.
 func TestSimulateAdapterContention(t *testing.T) {
 	mod := simpleModel()
-	msgs := []Message{
+	msgs := []machine.Message{
 		{From: 0, To: 2, Bytes: 1e6},
 		{From: 1, To: 3, Bytes: 1e6},
 	}
@@ -105,7 +105,7 @@ func TestSimulateAdapterContention(t *testing.T) {
 }
 
 func TestSimulateBadMessage(t *testing.T) {
-	if _, err := Simulate([]float64{1}, []Message{{From: 0, To: 5, Bytes: 1}}, simpleModel()); err == nil {
+	if _, err := Simulate([]float64{1}, []machine.Message{{From: 0, To: 5, Bytes: 1}}, simpleModel()); err == nil {
 		t.Error("out-of-range message accepted")
 	}
 	bad := simpleModel()
@@ -121,7 +121,7 @@ func TestStepMessagesSymmetryAndVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := machine.DefaultWorkload()
-	msgs := StepMessages(res.Mesh, res.Partition, w)
+	msgs := machine.StepMessages(res.Mesh, res.Partition, w)
 	// Every ordered pair appears in both directions with equal volume
 	// (the mesh adjacency is symmetric and both weights are symmetric).
 	vol := map[[2]int]int64{}
